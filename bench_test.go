@@ -10,7 +10,6 @@
 package simdhtbench_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -300,41 +299,6 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 		}
 		b.ReportMetric(res.GoodputKeys/1e6, "goodput-Mkeys/s")
 		b.ReportMetric(res.P99Latency*1e6, "p99-us")
-	}
-}
-
-// BenchmarkParallelFleetScaling runs the same fleet point on the partitioned
-// engine at 1, 2, 4 and 8 host workers. sim-Mlookups/s is simulated key
-// lookups completed per host-second — the tentpole's sim-speed metric; on a
-// multicore host it scales with the worker count (the artifacts stay
-// byte-identical, pinned by TestParallelDESBitIdentical), while on a
-// single-core host it exposes the window-synchronization overhead.
-func BenchmarkParallelFleetScaling(b *testing.B) {
-	opts := experiments.FleetOptions{
-		KVSOptions: experiments.KVSOptions{
-			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
-			Batches: []int{16}, Seed: 7,
-		},
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("simworkers=%d", workers), func(b *testing.B) {
-			o := opts
-			o.SimWorkers = workers
-			lookups := 0.0
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.FleetStudyPoint(8, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Epochs == 0 {
-					b.Fatal("fleet benchmark ran without membership churn")
-				}
-				lookups += float64(res.Requests) * float64(res.BatchSize)
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(lookups/s/1e6, "sim-Mlookups/s")
-			}
-		})
 	}
 }
 

@@ -60,18 +60,17 @@ import (
 
 func main() {
 	var (
-		items      = flag.Int("items", 200000, "stored key-value items (paper: 2M)")
-		workers    = flag.Int("workers", 26, "server worker threads")
-		clients    = flag.Int("clients", 26, "memslap client threads")
-		requests   = flag.Int("requests", 3000, "measured Multi-Gets per configuration")
-		batches    = flag.String("batches", "16,64", "comma-separated Multi-Get sizes")
-		backend    = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
-		batch      = flag.Int("batch", 16, "single: Multi-Get size")
-		seed       = flag.Int64("seed", 7, "random seed")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel   = flag.Int("parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
-		simWorkers = flag.Int("simworkers", 0, "fleet/overload: host workers advancing one simulation's server partitions in parallel (0 = serial engine); output is identical at every setting >= 1")
-		sstats     = flag.Bool("sweepstats", false, "print per-job sweep timing to stderr after each experiment")
+		items    = flag.Int("items", 200000, "stored key-value items (paper: 2M)")
+		workers  = flag.Int("workers", 26, "server worker threads")
+		clients  = flag.Int("clients", 26, "memslap client threads")
+		requests = flag.Int("requests", 3000, "measured Multi-Gets per configuration")
+		batches  = flag.String("batches", "16,64", "comma-separated Multi-Get sizes")
+		backend  = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
+		batch    = flag.Int("batch", 16, "single: Multi-Get size")
+		seed     = flag.Int64("seed", 7, "random seed")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		parallel = flag.Int("parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
+		sstats   = flag.Bool("sweepstats", false, "print per-job sweep timing to stderr after each experiment")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file (virtual time = DES clock)")
 		metricsOut = flag.String("metrics", "", "write the metrics registry as CSV")
@@ -119,16 +118,15 @@ func main() {
 	spec, err := fault.ParseSpec(*faults)
 	check(err)
 	opts := experiments.KVSOptions{
-		Items:      *items,
-		Workers:    *workers,
-		Clients:    *clients,
-		Requests:   *requests,
-		Batches:    parseBatches(*batches),
-		Seed:       *seed,
-		Parallel:   *parallel,
-		SimWorkers: *simWorkers,
-		Faults:     spec,
-		FaultSeed:  *faultSeed,
+		Items:     *items,
+		Workers:   *workers,
+		Clients:   *clients,
+		Requests:  *requests,
+		Batches:   parseBatches(*batches),
+		Seed:      *seed,
+		Parallel:  *parallel,
+		Faults:    spec,
+		FaultSeed: *faultSeed,
 	}
 	if *sstats {
 		opts.OnSweep = printSweepStats

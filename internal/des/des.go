@@ -126,37 +126,6 @@ func (s *Sim) RunUntil(t float64) {
 	}
 }
 
-// NextEventAt returns the timestamp of the earliest pending event and true,
-// or (0, false) when the queue is empty. It is the per-partition input to the
-// Partitioned engine's global-horizon computation.
-func (s *Sim) NextEventAt() (float64, bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
-// runBefore dispatches every pending event with timestamp strictly below
-// limit and returns how many ran. Unlike RunUntil it never advances the clock
-// past the last dispatched event, and it ignores the event budget — the
-// Partitioned engine enforces its budget at window granularity so every
-// partition stops at the same horizon.
-func (s *Sim) runBefore(limit float64) uint64 {
-	var n uint64
-	for len(s.events) > 0 && s.events[0].at < limit {
-		ev := s.events.pop()
-		s.now = ev.at
-		s.dispatched++
-		n++
-		if s.Probe != nil {
-			s.Probe.EventRun(ev.at)
-		}
-		s.Heartbeat.Tick(ev.at)
-		ev.fn()
-	}
-	return n
-}
-
 // Pending returns the number of scheduled events.
 func (s *Sim) Pending() int { return len(s.events) }
 
@@ -176,11 +145,7 @@ type event struct {
 //
 // Invariant (FIFO tie-break): events scheduled with equal timestamps pop in
 // insertion order, at any heap size, because seq increases monotonically per
-// Sim and (at, seq) ordering is total. The Partitioned engine's canonical
-// cross-partition merge depends on this: it inserts merged remote events into
-// the destination heap in (timestamp, source partition, source seq) order, so
-// the destination's locally assigned seqs reproduce the canonical order
-// bitwise at any host worker count. Pinned by TestEventHeapFIFOTieBreak.
+// Sim and (at, seq) ordering is total. Pinned by TestEventHeapFIFOTieBreak.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {

@@ -345,3 +345,72 @@ func TestHeartbeatTicksPerEvent(t *testing.T) {
 		t.Errorf("no heartbeat output:\n%s", b.String())
 	}
 }
+
+// TestEventHeapFIFOTieBreak pins the heap's tie-break invariant: events
+// scheduled with equal timestamps dispatch in insertion order, at any heap
+// size. The
+// schedule interleaves a handful of repeated timestamps in a deliberately
+// non-sorted pattern so sift-up and sift-down both get exercised at every
+// size.
+func TestEventHeapFIFOTieBreak(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 16, 64, 257, 1024} {
+		sim := New()
+		type tag struct {
+			at  float64
+			idx int
+		}
+		var got []tag
+		next := make(map[float64]int) // per-timestamp insertion counter
+		for i := 0; i < n; i++ {
+			// Five timestamps cycled out of order: ties pile up fast and
+			// arrive interleaved with earlier and later times.
+			at := float64([]int{3, 1, 4, 1, 5}[i%5]) * 1e-6
+			idx := next[at]
+			next[at] = idx + 1
+			sim.At(at, func() { got = append(got, tag{at: at, idx: idx}) })
+		}
+		sim.Run()
+		if len(got) != n {
+			t.Fatalf("n=%d: dispatched %d events", n, len(got))
+		}
+		lastAt := -1.0
+		lastIdx := make(map[float64]int)
+		for i, g := range got {
+			if g.at < lastAt {
+				t.Fatalf("n=%d: event %d at %g dispatched after %g", n, i, g.at, lastAt)
+			}
+			lastAt = g.at
+			if want, ok := lastIdx[g.at]; ok && g.idx != want {
+				t.Fatalf("n=%d: timestamp %g dispatched insertion %d, want %d (FIFO)", n, g.at, g.idx, want)
+			}
+			lastIdx[g.at] = g.idx + 1
+		}
+	}
+}
+
+// TestRunUntilBudgetExhausted is the regression for the RunUntil +
+// SetEventBudget interaction: with the budget exhausted mid-way, RunUntil's
+// head event can no longer be popped, and the loop used to spin forever on
+// it. It must stop, report exhaustion, and still advance the clock to t so
+// callers observe a consistent horizon.
+func TestRunUntilBudgetExhausted(t *testing.T) {
+	sim := New()
+	sim.SetEventBudget(10)
+	fired := 0
+	var tick func()
+	tick = func() {
+		fired++
+		sim.After(1e-6, tick)
+	}
+	sim.After(1e-6, tick)
+	sim.RunUntil(1.0) // pre-fix: infinite loop
+	if fired != 10 {
+		t.Errorf("dispatched %d events, want the budget of 10", fired)
+	}
+	if !sim.BudgetExhausted() {
+		t.Error("BudgetExhausted must report true")
+	}
+	if sim.Now() != 1.0 {
+		t.Errorf("Now() = %g, want the horizon 1.0", sim.Now())
+	}
+}

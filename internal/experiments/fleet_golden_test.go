@@ -7,6 +7,7 @@ import (
 
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/obs"
+	"simdhtbench/internal/obs/prof"
 )
 
 // fleetSpecCLI is the exact -faults argument of the ci.sh fleet smoke step.
@@ -17,14 +18,17 @@ const fleetSpecCLI = "drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backo
 
 // runFleetStudyObs mirrors `kvsbench -fleet -items 2000 -workers 2
 // -clients 2 -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5
-// -arrival-rate 200000 -faults '<spec>' -trace -metrics`.
-func runFleetStudyObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV []byte) {
+// -arrival-rate 200000 -faults '<spec>' -trace -metrics -profile cycles`.
+// Profiling is neutral, so the trace and metrics still match the goldens.
+func runFleetStudyObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV, folded []byte) {
 	t.Helper()
 	spec, err := fault.ParseSpec(fleetSpecCLI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
+	set := prof.NewSet()
+	col.EnableProfiling(set)
 	o := FleetOptions{
 		KVSOptions:  kvsObsOptions(parallel, col),
 		FleetSizes:  []int{3, 5},
@@ -36,26 +40,35 @@ func runFleetStudyObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf, fb bytes.Buffer
 	tbl.Fprint(&buf)
+	if err := set.WriteFolded(&fb); err != nil {
+		t.Fatal(err)
+	}
 	tr, ms := renderObs(t, col)
-	return buf.Bytes(), tr, ms
+	return buf.Bytes(), tr, ms, fb.Bytes()
 }
 
 // TestObsGoldenFleetStudy pins the fleet study's three artifacts and the
 // capstone determinism contract: replicated reads, quorum writes, failovers
-// and rebalance storms produce byte-identical tables, metrics CSV and trace
-// JSON at -parallel 1, 4 and 16.
+// and rebalance storms produce byte-identical tables, metrics CSV, trace
+// JSON and folded cycle profiles at -parallel 1, 4 and 16.
 func TestObsGoldenFleetStudy(t *testing.T) {
-	tbl1, tr1, ms1 := runFleetStudyObs(t, 1)
+	tbl1, tr1, ms1, fp1 := runFleetStudyObs(t, 1)
 	for _, parallel := range []int{4, 16} {
-		tbl, tr, ms := runFleetStudyObs(t, parallel)
+		tbl, tr, ms, fp := runFleetStudyObs(t, parallel)
 		if !bytes.Equal(tbl1, tbl) {
 			t.Fatalf("fleet table diverges between -parallel 1 and -parallel %d", parallel)
 		}
 		if !bytes.Equal(tr1, tr) || !bytes.Equal(ms1, ms) {
 			t.Fatalf("fleet obs artifacts diverge between -parallel 1 and -parallel %d", parallel)
 		}
+		if !bytes.Equal(fp1, fp) {
+			t.Fatalf("fleet folded profile diverges between -parallel 1 and -parallel %d", parallel)
+		}
+	}
+	if len(fp1) == 0 {
+		t.Fatal("fleet folded profile is empty")
 	}
 	checkGolden(t, "fleet_study_table.golden.txt", tbl1)
 	checkGolden(t, "fleet_study_trace.golden.json", tr1)

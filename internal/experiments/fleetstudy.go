@@ -4,10 +4,12 @@ import (
 	"fmt"
 
 	"simdhtbench/internal/arch"
+	"simdhtbench/internal/des"
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/mem"
 	"simdhtbench/internal/memslap"
+	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
@@ -87,7 +89,13 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		faultProbe = col.FaultProbe()
 	}
 
-	pd, sim, fabric := fleetSim(nservers, o.SimWorkers, col, plan, faultProbe, o.Heartbeat)
+	sim := des.New()
+	sim.Probe = col.SimProbe()
+	sim.Heartbeat = o.Heartbeat
+	fabric := netsim.New(sim, netsim.EDR())
+	fabric.Probe = col.NetProbe()
+	fabric.Faults = plan
+	fabric.FaultProbe = faultProbe
 
 	repl := o.Replication
 	if repl > nservers {
@@ -109,22 +117,10 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		if err != nil {
 			return memslap.FleetResults{}, err
 		}
-		servers[i] = kvs.NewServer(serverSim(pd, sim, i), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
+		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), o.Workers, 256, idx, store)
 		servers[i].Faults = plan.ForServer(i)
-		if pd != nil {
-			// Per-server scopes: crash-drop instants and batch spans are
-			// emitted from the server's partition, so each server needs its
-			// own single-writer probe instances (the serial path shares one
-			// probe across servers — same sim, one writer).
-			sc := col.Scope("server", fmt.Sprintf("s%d", i))
-			if plan != nil {
-				servers[i].FaultProbe = sc.FaultProbe()
-			}
-			servers[i].Probe = sc.ServerProbe()
-		} else {
-			servers[i].FaultProbe = faultProbe
-			servers[i].Probe = col.ServerProbe()
-		}
+		servers[i].FaultProbe = faultProbe
+		servers[i].Probe = col.ServerProbe()
 	}
 	fleet, err := memslap.NewFleet(sim, fabric, servers, repl)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simdhtbench/internal/obs"
+	"simdhtbench/internal/obs/prof"
 )
 
 // overloadObsOptions mirrors the ci.sh overload smoke: `kvsbench -items 2000
@@ -23,34 +24,48 @@ func overloadObsOptions(parallel int, col *obs.Collector) OverloadOptions {
 	}
 }
 
-func runOverloadStudyObs(t *testing.T, parallel int) (res OverloadResult, table, traceJSON, metricsCSV []byte) {
+// runOverloadStudyObs runs the overload smoke with the cycle profiler on
+// (`-profile cycles`). Profiling is neutral, so the trace and metrics still
+// match the goldens.
+func runOverloadStudyObs(t *testing.T, parallel int) (res OverloadResult, table, traceJSON, metricsCSV, folded []byte) {
 	t.Helper()
 	col := obs.NewCollector()
+	set := prof.NewSet()
+	col.EnableProfiling(set)
 	o := overloadObsOptions(parallel, col)
 	res, err := OverloadStudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf, fb bytes.Buffer
 	OverloadTable(o, res).Fprint(&buf)
+	if err := set.WriteFolded(&fb); err != nil {
+		t.Fatal(err)
+	}
 	tr, ms := renderObs(t, col)
-	return res, buf.Bytes(), tr, ms
+	return res, buf.Bytes(), tr, ms, fb.Bytes()
 }
 
 // TestObsGoldenOverloadStudy pins the overload study's three artifacts and
 // its determinism contract: admission sheds, rejected-response failover,
-// retry budgets and hedged reads produce byte-identical tables, metrics CSV
-// and trace JSON at -parallel 1, 4 and 16.
+// retry budgets and hedged reads produce byte-identical tables, metrics CSV,
+// trace JSON and folded cycle profiles at -parallel 1, 4 and 16.
 func TestObsGoldenOverloadStudy(t *testing.T) {
-	res, tbl1, tr1, ms1 := runOverloadStudyObs(t, 1)
+	res, tbl1, tr1, ms1, fp1 := runOverloadStudyObs(t, 1)
 	for _, parallel := range []int{4, 16} {
-		_, tbl, tr, ms := runOverloadStudyObs(t, parallel)
+		_, tbl, tr, ms, fp := runOverloadStudyObs(t, parallel)
 		if !bytes.Equal(tbl1, tbl) {
 			t.Fatalf("overload table diverges between -parallel 1 and -parallel %d", parallel)
 		}
 		if !bytes.Equal(tr1, tr) || !bytes.Equal(ms1, ms) {
 			t.Fatalf("overload obs artifacts diverge between -parallel 1 and -parallel %d", parallel)
 		}
+		if !bytes.Equal(fp1, fp) {
+			t.Fatalf("overload folded profile diverges between -parallel 1 and -parallel %d", parallel)
+		}
+	}
+	if len(fp1) == 0 {
+		t.Fatal("overload folded profile is empty")
 	}
 	checkGolden(t, "overload_study_table.golden.txt", tbl1)
 	checkGolden(t, "overload_study_trace.golden.json", tr1)

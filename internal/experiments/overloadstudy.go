@@ -5,10 +5,12 @@ import (
 	"math"
 
 	"simdhtbench/internal/arch"
+	"simdhtbench/internal/des"
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/mem"
 	"simdhtbench/internal/memslap"
+	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
@@ -158,7 +160,13 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		overloadProbe = col.OverloadProbe()
 	}
 
-	pd, sim, fabric := fleetSim(o.Servers, o.SimWorkers, col, plan, faultProbe, o.Heartbeat)
+	sim := des.New()
+	sim.Probe = col.SimProbe()
+	sim.Heartbeat = o.Heartbeat
+	fabric := netsim.New(sim, netsim.EDR())
+	fabric.Probe = col.NetProbe()
+	fabric.Faults = plan
+	fabric.FaultProbe = faultProbe
 
 	servers := make([]*kvs.Server, o.Servers)
 	for i := range servers {
@@ -173,22 +181,11 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		if err != nil {
 			return memslap.FleetResults{}, err
 		}
-		servers[i] = kvs.NewServer(serverSim(pd, sim, i), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
+		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), o.Workers, 256, idx, store)
 		servers[i].Faults = plan.ForServer(i)
-		// OverloadProbe is shared across partitions on purpose: it emits
-		// only atomic counter increments and a CAS max gauge — commutative,
-		// race-free, and byte-identical at any worker count.
+		servers[i].FaultProbe = faultProbe
 		servers[i].OverloadProbe = overloadProbe
-		if pd != nil {
-			sc := col.Scope("server", fmt.Sprintf("s%d", i))
-			if plan != nil {
-				servers[i].FaultProbe = sc.FaultProbe()
-			}
-			servers[i].Probe = sc.ServerProbe()
-		} else {
-			servers[i].FaultProbe = faultProbe
-			servers[i].Probe = col.ServerProbe()
-		}
+		servers[i].Probe = col.ServerProbe()
 	}
 	fleet, err := memslap.NewFleet(sim, fabric, servers, o.Replication)
 	if err != nil {

@@ -274,8 +274,12 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
+// durStr renders a duration in Go syntax. It rounds to the nearest
+// nanosecond: ParseSpec stores whole nanoseconds as float64 seconds, and
+// truncating the rescaled value would turn e.g. 15ns (1.5e-8 s, which
+// rescales to 14.999999999999998) into 14ns and break the round trip.
 func durStr(seconds float64) string {
-	return time.Duration(seconds * float64(time.Second)).String()
+	return time.Duration(math.Round(seconds * float64(time.Second))).String()
 }
 
 // Plan is a compiled spec bound to a seed: the object the simulation
@@ -335,24 +339,6 @@ func (p *Plan) ForServer(i int) *Plan {
 	d.rng = rand.New(rand.NewSource(p.seed + int64(i)*0x5DEECE66D))
 	d.crashPhase = stagger(p.spec.CrashPeriod, i)
 	d.slowPhase = stagger(p.spec.SlowPeriod, i)
-	return &d
-}
-
-// ForPartition derives the message-fault stream for sends originating on
-// simulation partition i of a partitioned fabric. Each partition needs its
-// own seeded RNG — fault draws happen concurrently across partitions, and a
-// per-partition stream keeps the draw sequence a function of the partition's
-// own deterministic send order, independent of the host worker count. The
-// salt is distinct from ForServer's so a partition's message stream never
-// collides with a server's crash/slow/pressure stream, and window phases are
-// not staggered: crash and slow windows belong to the per-server plans, not
-// the fabric.
-func (p *Plan) ForPartition(i int) *Plan {
-	if p == nil {
-		return nil
-	}
-	d := *p
-	d.rng = rand.New(rand.NewSource((p.seed ^ 0x706172746974696F) + int64(i)*0x5DEECE66D))
 	return &d
 }
 

@@ -133,7 +133,7 @@ func localDerived(n int) []stats {
 	return out
 }
 
-// partitionWorkers mirrors the des.Partitioned window loop: persistent
+// partitionWorkers mirrors a windowed parallel simulation loop: persistent
 // workers striped over partitions, fed window horizons over channels. The
 // striped counts write is the sanctioned per-slot shape; the shared arrival
 // map is the planted cross-partition violation — merged state must flow

@@ -29,15 +29,6 @@ const (
 	// eventBudgetPerMovedKey sizes the watchdog slack for rebalance storms
 	// (a 64-item transfer batch costs ~6 events, so 8 per key is generous).
 	eventBudgetPerMovedKey = 8
-
-	// Partitioned-mode control-plane frames: wipe/transfer/repair commands
-	// from the coordinator and completions back to it, plus a per-key
-	// reference in transfer commands. These messages replace the direct
-	// cross-server state access the serial path performs — in partitioned
-	// mode the coordinator may not touch a server's store, so intent travels
-	// over the fabric like everything else.
-	ctrlMsgBytes    = 32
-	ctrlKeyRefBytes = 8
 )
 
 // Fleet is a replicated KVS cluster on one simulation: N servers behind a
@@ -57,14 +48,6 @@ type Fleet struct {
 	// Probe, when non-nil, observes epochs, rebalances, replica reads,
 	// failovers, repairs and quorum writes (obs layer).
 	Probe obs.FleetProbe
-
-	// Partitioned mode (non-nil pd): client loops, the ring coordinator and
-	// all fleet counters live on partition 0 (ctrlEP); server i runs on
-	// partition i+1. Coordinator-to-server state changes (wipe, rebalance
-	// transfers, read-repair) travel as control messages instead of direct
-	// calls, so every partition only ever touches its own state.
-	pd     *des.Partitioned
-	ctrlEP *netsim.Endpoint
 
 	serverEPs []*netsim.Endpoint
 	keys      [][]byte          // loaded keys, in load order (rebalance iteration order)
@@ -110,28 +93,8 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 		return nil, err
 	}
 	eps := make([]*netsim.Endpoint, len(servers))
-	pd := fabric.PartitionedEngine()
-	var ctrl *netsim.Endpoint
-	if pd != nil {
-		if pd.Parts() != len(servers)+1 {
-			return nil, &ConfigError{Field: "partitions",
-				Reason: fmt.Sprintf("engine has %d partitions, fleet needs %d (clients + one per server)", pd.Parts(), len(servers)+1)}
-		}
-		if sim != pd.Sim(0) {
-			return nil, &ConfigError{Field: "sim", Reason: "fleet sim must be the engine's partition 0 (the client/coordinator partition)"}
-		}
-		for i, srv := range servers {
-			if srv.Sim != pd.Sim(i+1) {
-				return nil, &ConfigError{Field: "servers",
-					Reason: fmt.Sprintf("server %d must run on the engine's partition %d", i, i+1)}
-			}
-			eps[i] = fabric.EndpointAt(fmt.Sprintf("server-%d", i), i+1)
-		}
-		ctrl = fabric.EndpointAt("coordinator", 0)
-	} else {
-		for i := range eps {
-			eps[i] = fabric.Endpoint(fmt.Sprintf("server-%d", i))
-		}
+	for i := range eps {
+		eps[i] = fabric.Endpoint(fmt.Sprintf("server-%d", i))
 	}
 	return &Fleet{
 		Sim:         sim,
@@ -139,8 +102,6 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 		Servers:     servers,
 		Ring:        ring,
 		Replication: replication,
-		pd:          pd,
-		ctrlEP:      ctrl,
 		serverEPs:   eps,
 		expected:    make(map[string][]byte),
 		repairing:   make(map[repairKey]bool),
@@ -182,20 +143,6 @@ func (f *Fleet) Leave(id int) error {
 	if err != nil {
 		return err
 	}
-	if f.pd != nil {
-		// The coordinator may not wipe a remote store directly; the kill
-		// travels as a control message to the server's own partition.
-		wiped := false
-		f.ctrlEP.Send(f.serverEPs[id], ctrlMsgBytes, func() {
-			if wiped {
-				return // duplicate delivery
-			}
-			wiped = true
-			f.Servers[id].Wipe()
-		})
-		f.advanceRingPartitioned(nr, id, false)
-		return nil
-	}
 	f.Servers[id].Wipe()
 	f.advanceRing(nr, id, false)
 	return nil
@@ -211,10 +158,6 @@ func (f *Fleet) Join(id int) error {
 	nr, err := f.Ring.Join(id)
 	if err != nil {
 		return err
-	}
-	if f.pd != nil {
-		f.advanceRingPartitioned(nr, id, true)
-		return nil
 	}
 	f.advanceRing(nr, id, true)
 	return nil
@@ -312,151 +255,6 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 				})
 			})
 		}
-	}
-}
-
-// advanceRingPartitioned is advanceRing for partitioned mode. The serial
-// path peeks donor stores (`Get`) while grouping transfers — a direct read
-// of another partition's state — so here the coordinator picks donors from
-// ring membership alone, counts the moves optimistically, and ships each
-// (src, dst) group as a control message to the source server. The source
-// resolves its local store, streams what it has, and reports back how many
-// keys were missing; the coordinator then corrects KeysMoved/KeysLost and
-// fires RebalanceDone when the last group completes.
-func (f *Fleet) advanceRingPartitioned(nr *kvs.Ring, server int, join bool) {
-	old := f.Ring
-	f.Ring = nr
-	f.Epochs++
-
-	type cmdGroup struct {
-		src, dst int
-		keys     [][]byte
-	}
-	var groups []*cmdGroup
-	groupIdx := make(map[[2]int]*cmdGroup)
-	moved, lost := 0, 0
-	for _, key := range f.keys {
-		oldSet := old.ReplicaOwners(key, f.Replication, f.ownA)
-		newSet := nr.ReplicaOwners(key, f.Replication, f.ownB)
-		for _, d := range newSet {
-			if containsInt(oldSet, d) {
-				continue
-			}
-			src := -1
-			for _, s := range oldSet {
-				if s != d && nr.HasMember(s) {
-					src = s
-					break
-				}
-			}
-			if src < 0 {
-				lost++
-				continue
-			}
-			gk := [2]int{src, d}
-			g := groupIdx[gk]
-			if g == nil {
-				g = &cmdGroup{src: src, dst: d}
-				groupIdx[gk] = g
-				groups = append(groups, g)
-			}
-			g.keys = append(g.keys, key)
-			moved++
-		}
-	}
-	f.KeysMoved += uint64(moved)
-	f.KeysLost += uint64(lost)
-	start := f.Sim.Now()
-	epoch := nr.Epoch()
-	if f.Probe != nil {
-		f.Probe.EpochAdvanced(epoch, server, join, moved, lost, start)
-	}
-	if moved == 0 {
-		if f.Probe != nil {
-			f.Probe.RebalanceDone(epoch, 0, start, start)
-		}
-		return
-	}
-	outstanding := len(groups)
-	movedTotal := moved
-	for _, g := range groups {
-		g := g
-		cmdBytes := ctrlMsgBytes + len(g.keys)*ctrlKeyRefBytes
-		started := false
-		f.ctrlEP.Send(f.serverEPs[g.src], cmdBytes, func() {
-			if started {
-				return // duplicate command delivery
-			}
-			started = true
-			f.runTransfer(g.src, g.dst, g.keys, func(shipped, missing int) {
-				// Completion, delivered back at the coordinator.
-				f.KeysMoved -= uint64(missing)
-				f.KeysLost += uint64(missing)
-				movedTotal -= missing
-				outstanding--
-				if outstanding == 0 && f.Probe != nil {
-					f.Probe.RebalanceDone(epoch, movedTotal, start, f.Sim.Now())
-				}
-			})
-		})
-	}
-}
-
-// runTransfer executes a transfer command as a delivery event on the source
-// server's partition: resolve each key against the local store, stream the
-// present ones to dst in protocol-sized batches through the charged
-// HandleReplicate path, and once every batch is acknowledged send a
-// completion to the coordinator carrying the miss count. Only source-local
-// and (via messages) destination-local state is touched.
-func (f *Fleet) runTransfer(src, dst int, keys [][]byte, done func(shipped, missing int)) {
-	items := make([]kvs.ReplicaItem, 0, len(keys))
-	missing := 0
-	for _, key := range keys {
-		val, ok := f.Servers[src].Get(key)
-		if !ok {
-			missing++
-			continue
-		}
-		items = append(items, kvs.ReplicaItem{Key: key, Value: val})
-	}
-	shipped := len(items)
-	complete := func() {
-		reported := false
-		f.serverEPs[src].Send(f.ctrlEP, ctrlMsgBytes, func() {
-			if reported {
-				return // duplicate completion delivery
-			}
-			reported = true
-			done(shipped, missing)
-		})
-	}
-	if shipped == 0 {
-		complete()
-		return
-	}
-	remaining := (shipped + rebalanceBatchItems - 1) / rebalanceBatchItems
-	for from := 0; from < len(items); from += rebalanceBatchItems {
-		to := min(from+rebalanceBatchItems, len(items))
-		batch := items[from:to]
-		bytes := 0
-		for _, it := range batch {
-			bytes += len(it.Key) + len(it.Value) + replicaItemOverheadBytes
-		}
-		acked := false
-		f.serverEPs[src].Send(f.serverEPs[dst], bytes, func() {
-			f.Servers[dst].HandleReplicate(batch, func(applied int) {
-				f.serverEPs[dst].Send(f.serverEPs[src], replicaAckBytes, func() {
-					if acked {
-						return // duplicate delivery
-					}
-					acked = true
-					remaining--
-					if remaining == 0 {
-						complete()
-					}
-				})
-			})
-		})
 	}
 }
 
@@ -571,10 +369,6 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 			return FleetResults{}, &ConfigError{Field: "churn", Reason: "requires a fault plan with crash windows (the churn schedule)"}
 		}
 	}
-	if f.pd != nil && cfg.Faults != nil && cfg.Faults.PressurePeriod() > 0 {
-		return FleetResults{}, &ConfigError{Field: "pressure",
-			Reason: "server pressure bursts are not supported with partitioned simulation: the pressure schedule runs on the coordinator partition and may not touch server stores"}
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = cfg.Requests / 5
 	}
@@ -665,14 +459,8 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 				measEnd = sim.Now()
 			} else if seq == cfg.Warmup {
 				measStart = sim.Now()
-				if f.pd == nil {
-					// Partitioned mode skips the reset: the coordinator may
-					// not touch server stats, and no FleetResults field reads
-					// them (the shed/high-water counters accumulate over the
-					// whole run in both modes).
-					for _, srv := range servers {
-						srv.ResetStats()
-					}
+				for _, srv := range servers {
+					srv.ResetStats()
 				}
 			}
 			if closed {
@@ -938,10 +726,8 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 				measEnd = sim.Now()
 			} else if seq == cfg.Warmup {
 				measStart = sim.Now()
-				if f.pd == nil {
-					for _, srv := range servers {
-						srv.ResetStats()
-					}
+				for _, srv := range servers {
+					srv.ResetStats()
 				}
 			}
 			if closed {
@@ -994,13 +780,8 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		issue(clientEP, budget, issued, true)
 	}
 
-	if f.pd == nil {
-		// Pressure schedules run on the fleet's one sim in serial mode; in
-		// partitioned mode armed pressure was rejected above, so skipping the
-		// no-op schedules keeps the coordinator partition clean.
-		for _, srv := range servers {
-			schedulePressure(sim, srv, cfg.FaultProbe, func() bool { return completed >= total })
-		}
+	for _, srv := range servers {
+		schedulePressure(sim, srv, cfg.FaultProbe, func() bool { return completed >= total })
 	}
 
 	if cfg.ArrivalRate > 0 {
@@ -1101,20 +882,9 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	budget := uint64(total)*eventBudgetPerRequest + eventBudgetSlack
 	budget += uint64(total) * uint64(cfg.BatchSize) * 2 // failover + repair ceiling
 	budget += uint64(maxEpochs+1) * uint64(len(f.keys)+1024) * eventBudgetPerMovedKey
-	exhausted := false
-	if f.pd != nil {
-		// The engine enforces the budget between time windows, so every
-		// partition stops at the same horizon; the partition sims' own
-		// budgets stay unarmed.
-		f.pd.SetEventBudget(budget)
-		f.pd.Run()
-		exhausted = f.pd.BudgetExhausted()
-	} else {
-		sim.SetEventBudget(budget)
-		sim.Run()
-		exhausted = sim.BudgetExhausted()
-	}
-	if exhausted {
+	sim.SetEventBudget(budget)
+	sim.Run()
+	if sim.BudgetExhausted() {
 		return FleetResults{}, fmt.Errorf("memslap: watchdog: event budget %d exhausted after %d of %d requests — runaway fault/retry/rebalance loop", budget, completed, total)
 	}
 	if completed < total {
@@ -1198,10 +968,6 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 // per (server, key); a key with no live donor cannot be repaired (a true
 // loss, visible as a lasting hit-rate drop).
 func (f *Fleet) scheduleRepairs(target int, batch [][]byte, repairPos []int) {
-	if f.pd != nil {
-		f.scheduleRepairsPartitioned(target, batch, repairPos)
-		return
-	}
 	count := 0
 	for _, p := range repairPos {
 		key := batch[p]
@@ -1248,81 +1014,4 @@ func (f *Fleet) scheduleRepairs(target int, batch [][]byte, repairPos []int) {
 	if count > 0 && f.Probe != nil {
 		f.Probe.ReadRepair(count, f.Sim.Now())
 	}
-}
-
-// scheduleRepairsPartitioned is scheduleRepairs for partitioned mode. The
-// serial path peeks donor stores from the coordinator; here the donor is
-// chosen by ring membership alone and a repair command travels to it. The
-// donor resolves the key locally — if present it streams the item to the
-// divergent server, which reports completion to the coordinator; if absent
-// the donor reports failure so the in-flight entry retires and a later read
-// can retry. The repairing map doubles as the duplicate-completion guard:
-// both completion paths run at the coordinator, where the map lives.
-func (f *Fleet) scheduleRepairsPartitioned(target int, batch [][]byte, repairPos []int) {
-	count := 0
-	for _, p := range repairPos {
-		key := batch[p]
-		owners := f.Ring.ReplicaOwners(key, f.Replication, f.ownA)
-		if !containsInt(owners, target) {
-			continue // ownership moved on; rebalance covers it
-		}
-		donor := -1
-		for _, d := range owners {
-			if d != target {
-				donor = d
-				break
-			}
-		}
-		if donor < 0 {
-			continue
-		}
-		rk := repairKey{server: target, key: string(key)}
-		if f.repairing[rk] {
-			continue
-		}
-		f.repairing[rk] = true
-		donor, target, key := donor, target, key
-		issued := false
-		f.ctrlEP.Send(f.serverEPs[donor], ctrlMsgBytes+ctrlKeyRefBytes, func() {
-			if issued {
-				return // duplicate command delivery
-			}
-			issued = true
-			f.runRepair(donor, target, key, rk)
-		})
-		count++
-	}
-	if count > 0 && f.Probe != nil {
-		f.Probe.ReadRepair(count, f.Sim.Now())
-	}
-}
-
-// runRepair executes a repair command as a delivery event on the donor's
-// partition: resolve the key locally and either stream it to the divergent
-// server (whose ack travels to the coordinator) or report the miss.
-func (f *Fleet) runRepair(donor, target int, key []byte, rk repairKey) {
-	val, ok := f.Servers[donor].Get(key)
-	if !ok {
-		reported := false
-		f.serverEPs[donor].Send(f.ctrlEP, ctrlMsgBytes, func() {
-			if reported {
-				return // duplicate delivery
-			}
-			reported = true
-			delete(f.repairing, rk)
-		})
-		return
-	}
-	item := kvs.ReplicaItem{Key: key, Value: val}
-	bytes := len(key) + len(val) + replicaItemOverheadBytes
-	f.serverEPs[donor].Send(f.serverEPs[target], bytes, func() {
-		f.Servers[target].HandleReplicate([]kvs.ReplicaItem{item}, func(applied int) {
-			f.serverEPs[target].Send(f.ctrlEP, replicaAckBytes, func() {
-				if f.repairing[rk] {
-					f.Repairs++
-					delete(f.repairing, rk)
-				}
-			})
-		})
-	})
 }

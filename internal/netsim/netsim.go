@@ -39,16 +39,6 @@ type Config struct {
 	MaxMessageBytes int
 }
 
-// SmallMessageLatency returns the end-to-end latency of a minimal message
-// under this configuration: send overhead + propagation + receive overhead.
-// It is a lower bound on every delivery the fabric can produce (transfer
-// time, NIC serialization, segmentation and delay spikes only add to it), so
-// it is the conservative lookahead for partitioned simulation: a message sent
-// at virtual time t can never arrive before t + SmallMessageLatency().
-func (c Config) SmallMessageLatency() float64 {
-	return c.SendOverhead + c.PropDelay + c.RecvOverhead
-}
-
 // EDR returns constants for InfiniBand EDR (100 Gbps) with µs-class
 // small-message latency.
 func EDR() Config {
@@ -87,29 +77,6 @@ type Fabric struct {
 	// observes each injected fault.
 	Faults     *fault.Plan
 	FaultProbe obs.FaultProbe
-
-	// Partitioned mode (Partition): sends execute on the source endpoint's
-	// partition slot — its own sim, counters, fault stream and probes — and
-	// cross-partition deliveries route through the engine's outboxes. The
-	// serial fields above (sim, counters, Faults, Probe, FaultProbe) are
-	// unused once partitioned.
-	pd    *des.Partitioned
-	slots []partitionSlot
-}
-
-// partitionSlot is the per-partition execution context of a partitioned
-// fabric. Each slot is only ever touched by events running on its partition,
-// so no field needs synchronization.
-type partitionSlot struct {
-	sim        *des.Sim
-	sent       uint64
-	bytesSent  uint64
-	dropped    uint64
-	duplicated uint64
-	delayed    uint64
-	faults     *fault.Plan
-	probe      obs.NetProbe
-	faultProbe obs.FaultProbe
 }
 
 // New creates a fabric on the given simulator.
@@ -120,13 +87,7 @@ func New(sim *des.Sim, cfg Config) *Fabric {
 	return &Fabric{sim: sim, cfg: cfg, endpoints: make(map[string]*Endpoint)}
 }
 
-// Endpoint returns (creating on first use) the named endpoint. In
-// partitioned mode a new endpoint lands on partition 0; use EndpointAt to
-// place it. Creation mutates the fabric's endpoint map, so endpoints must be
-// created during single-threaded setup, never from a running partition
-// event (lookups of existing endpoints during setup are fine — the map is
-// read-only once the engine runs, because every Send resolves endpoints the
-// caller already holds).
+// Endpoint returns (creating on first use) the named endpoint.
 func (f *Fabric) Endpoint(name string) *Endpoint {
 	if ep, ok := f.endpoints[name]; ok {
 		return ep
@@ -136,113 +97,20 @@ func (f *Fabric) Endpoint(name string) *Endpoint {
 	return ep
 }
 
-// Partition switches the fabric into partitioned mode on the given engine:
-// each partition gets its own counter/fault/probe slot, and deliveries whose
-// destination endpoint lives on a different partition route through the
-// engine's canonical cross-partition merge. The engine's lookahead must not
-// exceed cfg.SmallMessageLatency(), or cross-partition arrivals could land
-// inside the current window (des.Partitioned.Post panics on that).
-func (f *Fabric) Partition(pd *des.Partitioned) {
-	if pd.Lookahead() > f.cfg.SmallMessageLatency() {
-		panic(fmt.Sprintf("netsim: engine lookahead %g exceeds small-message latency %g", pd.Lookahead(), f.cfg.SmallMessageLatency()))
-	}
-	f.pd = pd
-	f.slots = make([]partitionSlot, pd.Parts())
-	for i := range f.slots {
-		f.slots[i].sim = pd.Sim(i)
-	}
-}
-
-// PartitionedEngine returns the engine installed by Partition, or nil in
-// serial mode.
-func (f *Fabric) PartitionedEngine() *des.Partitioned { return f.pd }
-
-// EndpointAt returns (creating on first use) the named endpoint placed on
-// the given partition. An endpoint's Send must only be invoked by events
-// running on its own partition — the slot state it touches is unsynchronized
-// by design. Re-requesting an existing endpoint with a different partition
-// panics: an endpoint's partition is part of the decomposition.
-func (f *Fabric) EndpointAt(name string, part int) *Endpoint {
-	if f.pd == nil {
-		panic("netsim: EndpointAt before Partition")
-	}
-	if part < 0 || part >= len(f.slots) {
-		panic(fmt.Sprintf("netsim: endpoint partition %d out of range [0,%d)", part, len(f.slots)))
-	}
-	if ep, ok := f.endpoints[name]; ok {
-		if ep.part != part {
-			panic(fmt.Sprintf("netsim: endpoint %q already on partition %d, requested %d", name, ep.part, part))
-		}
-		return ep
-	}
-	ep := &Endpoint{fabric: f, name: name, part: part}
-	f.endpoints[name] = ep
-	return ep
-}
-
-// SetPartitionFaults arms fault injection for sends originating on the given
-// partition. Each partition needs its own plan (its own seeded RNG stream) —
-// fault draws happen concurrently across partitions, and per-partition
-// streams are also what keeps the draw sequence independent of the host
-// worker count.
-func (f *Fabric) SetPartitionFaults(part int, plan *fault.Plan, probe obs.FaultProbe) {
-	f.slots[part].faults = plan
-	f.slots[part].faultProbe = probe
-}
-
-// SetPartitionProbe observes sends originating on the given partition. Each
-// partition needs its own probe instance: obs.NetProbe keeps per-hop state
-// that must stay single-writer.
-func (f *Fabric) SetPartitionProbe(part int, probe obs.NetProbe) {
-	f.slots[part].probe = probe
-}
-
-// MessagesSent returns the total messages injected. In partitioned mode the
-// per-partition counts are summed in partition order (read after Run, when
-// the barrier has published every slot).
-func (f *Fabric) MessagesSent() uint64 {
-	n := f.sent
-	for i := range f.slots {
-		n += f.slots[i].sent
-	}
-	return n
-}
+// MessagesSent returns the total messages injected.
+func (f *Fabric) MessagesSent() uint64 { return f.sent }
 
 // BytesSent returns the total payload bytes injected.
-func (f *Fabric) BytesSent() uint64 {
-	n := f.bytesSent
-	for i := range f.slots {
-		n += f.slots[i].bytesSent
-	}
-	return n
-}
+func (f *Fabric) BytesSent() uint64 { return f.bytesSent }
 
-// MessagesDropped returns the logical messages the fault plans dropped.
-func (f *Fabric) MessagesDropped() uint64 {
-	n := f.dropped
-	for i := range f.slots {
-		n += f.slots[i].dropped
-	}
-	return n
-}
+// MessagesDropped returns the logical messages the fault plan dropped.
+func (f *Fabric) MessagesDropped() uint64 { return f.dropped }
 
 // MessagesDuplicated returns the logical messages delivered twice.
-func (f *Fabric) MessagesDuplicated() uint64 {
-	n := f.duplicated
-	for i := range f.slots {
-		n += f.slots[i].duplicated
-	}
-	return n
-}
+func (f *Fabric) MessagesDuplicated() uint64 { return f.duplicated }
 
 // MessagesDelayed returns the logical messages hit by a delay spike.
-func (f *Fabric) MessagesDelayed() uint64 {
-	n := f.delayed
-	for i := range f.slots {
-		n += f.slots[i].delayed
-	}
-	return n
-}
+func (f *Fabric) MessagesDelayed() uint64 { return f.delayed }
 
 // TransferTime returns size/bandwidth in seconds.
 func (f *Fabric) TransferTime(bytes int) float64 {
@@ -262,11 +130,7 @@ type Endpoint struct {
 	fabric   *Fabric
 	name     string
 	busyTill float64
-	part     int // owning partition in partitioned mode (EndpointAt)
 }
-
-// PartitionID returns the endpoint's partition (0 outside partitioned mode).
-func (e *Endpoint) PartitionID() int { return e.part }
 
 // Name returns the endpoint name.
 func (e *Endpoint) Name() string { return e.name }
@@ -281,10 +145,6 @@ func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
 		panic(fmt.Sprintf("netsim: negative message size %d", bytes))
 	}
 	f := e.fabric
-	if f.pd != nil {
-		e.sendPartitioned(dst, bytes, deliver)
-		return
-	}
 	// Segment into protocol-sized messages; deliver fires with the last.
 	segments := 1
 	if f.cfg.MaxMessageBytes > 0 && bytes > f.cfg.MaxMessageBytes {
@@ -340,76 +200,4 @@ func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
 		}
 	}
 	f.sim.At(arrival, deliver)
-}
-
-// sendPartitioned is Send's partitioned-mode body. It runs on the source
-// endpoint's partition: virtual time, NIC serialization, counters, fault
-// draws and probes all come from the source slot, and the delivery is either
-// scheduled locally (same-partition destination) or posted through the
-// engine's canonical cross-partition merge. Every arrival is at least
-// SmallMessageLatency() after the source's current time, which is exactly
-// the engine's lookahead guarantee.
-func (e *Endpoint) sendPartitioned(dst *Endpoint, bytes int, deliver func()) {
-	f := e.fabric
-	s := &f.slots[e.part]
-	sim := s.sim
-	segments := 1
-	if f.cfg.MaxMessageBytes > 0 && bytes > f.cfg.MaxMessageBytes {
-		segments = (bytes + f.cfg.MaxMessageBytes - 1) / f.cfg.MaxMessageBytes
-	}
-	remaining := bytes
-	var arrival float64
-	for seg := 0; seg < segments; seg++ {
-		segBytes := remaining
-		if f.cfg.MaxMessageBytes > 0 && segBytes > f.cfg.MaxMessageBytes {
-			segBytes = f.cfg.MaxMessageBytes
-		}
-		remaining -= segBytes
-		start := sim.Now()
-		if e.busyTill > start {
-			start = e.busyTill
-		}
-		txDone := start + f.cfg.SendOverhead + f.TransferTime(segBytes)
-		e.busyTill = txDone
-		arrival = txDone + f.cfg.PropDelay + f.cfg.RecvOverhead
-		s.sent++
-		s.bytesSent += uint64(segBytes)
-	}
-	if s.probe != nil {
-		s.probe.MessageSent(e.name, dst.name, bytes, segments, sim.Now(), arrival)
-	}
-	if s.faults != nil {
-		if s.faults.DropMessage() {
-			s.dropped++
-			if s.faultProbe != nil {
-				s.faultProbe.MessageDropped(e.name, dst.name, bytes, sim.Now())
-			}
-			return
-		}
-		if extra := s.faults.DelaySpike(); extra > 0 {
-			s.delayed++
-			if s.faultProbe != nil {
-				s.faultProbe.MessageDelayed(e.name, dst.name, bytes, extra, sim.Now())
-			}
-			arrival += extra
-		}
-		if s.faults.DuplicateMessage() {
-			s.duplicated++
-			if s.faultProbe != nil {
-				s.faultProbe.MessageDuplicated(e.name, dst.name, bytes, sim.Now())
-			}
-			e.deliverAt(dst, arrival+f.cfg.RecvOverhead, deliver)
-		}
-	}
-	e.deliverAt(dst, arrival, deliver)
-}
-
-// deliverAt schedules a delivery on the destination's partition.
-func (e *Endpoint) deliverAt(dst *Endpoint, at float64, deliver func()) {
-	f := e.fabric
-	if dst.part == e.part {
-		f.slots[e.part].sim.At(at, deliver)
-		return
-	}
-	f.pd.Post(e.part, dst.part, at, deliver)
 }
