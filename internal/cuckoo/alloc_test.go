@@ -81,9 +81,10 @@ func TestLookupTemplatesAllocFree(t *testing.T) {
 	}
 }
 
-// TestInsertSteadyStateAllocFree pins the fill path: once the BFS scratch
-// (epoch-stamped visited set, reusable queue) has reached its high-water
-// mark, further inserts — evictions included — must not allocate.
+// TestInsertSteadyStateAllocFree pins the fill path: the slot tags and the
+// fixed-size visited set are allocated in New, so once the reusable BFS
+// queue has reached its high-water mark, further inserts — evictions
+// included — must not allocate.
 func TestInsertSteadyStateAllocFree(t *testing.T) {
 	l := Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 10}
 	space := mem.NewAddressSpace()

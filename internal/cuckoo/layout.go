@@ -9,11 +9,7 @@
 // key-value store; tests assert the two always agree.
 package cuckoo
 
-import (
-	"fmt"
-
-	"simdhtbench/internal/mem"
-)
+import "fmt"
 
 // Layout describes an (N,m) cuckoo hash-table memory layout, the paper's
 // first design dimension. An N-way non-bucketized table is the M=1 case.
@@ -172,5 +168,3 @@ func (l Layout) valOff(b, s int) int {
 // keyBlockBytes returns the size of a bucket's contiguous key block (split
 // layouts only).
 func (l Layout) keyBlockBytes() int { return l.M * l.KeyBits / 8 }
-
-var _ = mem.LineSize // package mem is used by sibling files

@@ -18,6 +18,11 @@ var ErrFull = errors.New("cuckoo: table full (no eviction path found)")
 // hitting the bound means the table is effectively full.
 const DefaultMaxBFSNodes = 2048
 
+// visitedSlots caps the BFS visited set. A search enqueues fewer than
+// maxBFSNodes+M buckets, so at the default cap the set stays at most about
+// a quarter full.
+const visitedSlots = 8192
+
 // Table is an (N,m) cuckoo hash table in simulated memory.
 //
 // Insertion uses breadth-first search over the eviction graph (the approach
@@ -37,13 +42,14 @@ type Table struct {
 	rng         *rand.Rand
 	maxBFSNodes int
 
-	// shadowKeys mirrors every slot's stored key (post-truncation, exactly
-	// the value Arena.ReadUint would decode), indexed b*M+s. setSlot — the
-	// sole writer of table bytes — keeps it coherent, which turns the
-	// functional key reads that dominate fill and BFS (keyAt) into a single
-	// slice index instead of a width-dispatched arena decode. The arena
-	// remains authoritative: every charged load still reads table bytes.
-	shadowKeys []uint64
+	// tags holds one byte per slot, indexed b*M+s: 0 for an empty slot,
+	// otherwise tagOf(stored key), an odd fingerprint. setSlot — the sole
+	// writer of table bytes — keeps it in step with the arena. The
+	// functional paths test emptiness and duplicates on the tag and read
+	// the arena only on a tag match or to expand a BFS node, so a fill's
+	// random probes hit a 1-byte-per-slot array instead of the table. The
+	// arena stays authoritative: every charged load still reads table bytes.
+	tags []uint8
 
 	// Precomputed layout strides (resolved once in New) so the fill-path
 	// offset math is two multiply-adds instead of re-deriving bucket and
@@ -55,10 +61,13 @@ type Table struct {
 	valBase     int
 	valStride   int
 
-	// BFS scratch reused across inserts: visitedStamp[b] == visitedEpoch
-	// marks bucket b as enqueued in the current search (an O(1)-clear
-	// membership set), and bfsQueue keeps its capacity between searches.
-	visitedStamp []uint32
+	// BFS scratch reused across inserts. visited is a small open-addressed
+	// set of epoch<<32 | bucket+1 words holding the buckets enqueued in the
+	// current search: entries of an older epoch read as empty, so a search
+	// clears it by bumping visitedEpoch. It has at most visitedSlots
+	// entries, whatever the table size, so it stays cache-resident.
+	// bfsQueue keeps its capacity between searches.
+	visited      []uint64
 	visitedEpoch uint32
 	bfsQueue     []pathEntry
 
@@ -93,15 +102,18 @@ func New(space *mem.AddressSpace, l Layout, seed int64) (*Table, error) {
 	// The arena carries one line of tail padding so vector-granularity
 	// reads of the final slots (e.g. a 32-bit gather of a 16-bit payload)
 	// stay in bounds — the same over-read padding real SIMD code allocates.
+	// The visited set is also capped at twice the bucket count: a search
+	// enqueues each bucket at most once, so that never fills either.
+	visited := min(visitedSlots, 2*l.Buckets())
 	t := &Table{
-		L:            l,
-		Arena:        space.Alloc(l.TableBytes() + mem.LineSize),
-		fam:          hashfn.NewFamily(l.N, l.KeyBits, l.BucketBits, seed),
-		rng:          rand.New(rand.NewSource(seed ^ 0x5eed)),
-		maxBFSNodes:  DefaultMaxBFSNodes,
-		shadowKeys:   make([]uint64, l.Slots()),
-		visitedStamp: make([]uint32, l.Buckets()),
-		bucketBytes:  l.BucketBytes(),
+		L:           l,
+		Arena:       space.Alloc(l.TableBytes() + mem.LineSize),
+		fam:         hashfn.NewFamily(l.N, l.KeyBits, l.BucketBits, seed),
+		rng:         rand.New(rand.NewSource(seed ^ 0x5eed)),
+		maxBFSNodes: DefaultMaxBFSNodes,
+		tags:        make([]uint8, l.Slots()),
+		visited:     make([]uint64, visited),
+		bucketBytes: l.BucketBytes(),
 	}
 	if l.Split {
 		t.keyStride = l.KeyBits / 8
@@ -133,7 +145,16 @@ func (t *Table) Bucket(i int, key uint64) int {
 }
 
 func (t *Table) keyAt(b, s int) uint64 {
-	return t.shadowKeys[b*t.L.M+s]
+	return t.Arena.ReadUint(b*t.bucketBytes+s*t.keyStride, t.L.KeyBits)
+}
+
+// tagOf is the slot tag of a stored key: 0 for the empty key, otherwise the
+// top byte of a multiplicative hash with the low bit forced to 1.
+func tagOf(key uint64) uint8 {
+	if key == 0 {
+		return 0
+	}
+	return uint8((key*0x9e3779b97f4a7c15)>>56) | 1
 }
 
 func (t *Table) valAt(b, s int) uint64 {
@@ -144,18 +165,19 @@ func (t *Table) setSlot(b, s int, key, val uint64) {
 	base := b * t.bucketBytes
 	t.Arena.WriteUint(base+s*t.keyStride, t.L.KeyBits, key)
 	t.Arena.WriteUint(base+t.valBase+s*t.valStride, t.L.ValBits, val)
-	// Mirror exactly what a ReadUint of the slot would return: WriteUint
-	// stores the low KeyBits, so the shadow records the truncated value.
-	t.shadowKeys[b*t.L.M+s] = key & t.L.KeyMask()
+	// Tag exactly what a ReadUint of the slot would return: WriteUint
+	// stores the low KeyBits.
+	t.tags[b*t.L.M+s] = tagOf(key & t.L.KeyMask())
 }
 
 // Lookup finds key and returns its payload. This is the native, uncharged
 // path used for functional correctness.
 func (t *Table) Lookup(key uint64) (uint64, bool) {
+	tag := tagOf(key)
 	for i := 0; i < t.L.N; i++ {
 		b := t.Bucket(i, key)
 		for s := 0; s < t.L.M; s++ {
-			if t.keyAt(b, s) == key {
+			if t.tags[b*t.L.M+s] == tag && t.keyAt(b, s) == key {
 				return t.valAt(b, s), true
 			}
 		}
@@ -181,16 +203,18 @@ func (t *Table) Insert(key, val uint64) error {
 	}
 
 	// Update in place, or take the first empty slot in a candidate bucket.
-	shadow, m := t.shadowKeys, t.L.M
+	tags, tag, m := t.tags, tagOf(key), t.L.M
 	emptyB, emptyS := -1, -1
 	for i := 0; i < t.L.N; i++ {
 		b := t.Bucket(i, key)
 		base := b * m
 		for s := 0; s < m; s++ {
-			switch shadow[base+s] {
-			case key:
-				t.setSlot(b, s, key, val)
-				return nil
+			switch tags[base+s] {
+			case tag:
+				if t.keyAt(b, s) == key {
+					t.setSlot(b, s, key, val)
+					return nil
+				}
 			case 0:
 				if emptyB < 0 {
 					emptyB, emptyS = b, s
@@ -215,10 +239,11 @@ func (t *Table) Insert(key, val uint64) error {
 
 // Delete removes key, returning whether it was present.
 func (t *Table) Delete(key uint64) bool {
+	tag := tagOf(key)
 	for i := 0; i < t.L.N; i++ {
 		b := t.Bucket(i, key)
 		for s := 0; s < t.L.M; s++ {
-			if t.keyAt(b, s) == key {
+			if t.tags[b*t.L.M+s] == tag && t.keyAt(b, s) == key {
 				t.setSlot(b, s, 0, 0)
 				t.count--
 				return true
@@ -238,56 +263,61 @@ type pathEntry struct {
 
 // bfsMakeRoom finds a shortest eviction path from one of key's candidate
 // buckets to a bucket with an empty slot, performs the relocations, and
-// returns the freed (bucket, slot).
+// returns the freed (bucket, slot). Every candidate bucket must be full,
+// as Insert guarantees.
+//
+// The search is a FIFO BFS that marks a bucket visited when it is enqueued
+// and expands a dequeued bucket by enqueuing each of its keys' alternate
+// buckets. The table does not change during a search, so the bucket it
+// ends at is the first one enqueued with an empty slot (found). The search
+// stops as soon as found is enqueued if the maxBFSNodes cap provably could
+// not have ended it before found was dequeued; otherwise it expands on
+// until found is dequeued or the cap stops it. Either way lastBFSNodes,
+// the path and the relocations are exactly those of a search that checks
+// buckets for an empty slot only at dequeue.
 func (t *Table) bfsMakeRoom(key uint64) (int, int, bool) {
-	// Advance the visited epoch instead of clearing a per-search set; on the
-	// (astronomically rare) wraparound the stamp array is cleared once so
-	// stale stamps from 2^32 searches ago cannot alias the new epoch.
-	t.visitedEpoch++
-	if t.visitedEpoch == 0 {
-		clear(t.visitedStamp)
-		t.visitedEpoch = 1
-	}
+	t.newVisitEpoch()
 	queue := t.bfsQueue[:0]
 	//lint:ignore alloclint the deferred reset closure captures only queue; Go stack-allocates it (the Insert AllocsPerRun pin proves it)
 	defer func() { t.bfsQueue = queue[:0] }()
-	stamp, epoch := t.visitedStamp, t.visitedEpoch
-	shadow, m, n := t.shadowKeys, t.L.M, t.L.N
+	m, n := t.L.M, t.L.N
 	for i := 0; i < n; i++ {
-		b := t.Bucket(i, key)
-		if stamp[b] == epoch {
-			continue
+		if b := t.Bucket(i, key); t.visit(b) {
+			//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
+			queue = append(queue, pathEntry{bucket: b, parent: -1})
 		}
-		stamp[b] = epoch
-		//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
-		queue = append(queue, pathEntry{bucket: b, parent: -1})
 	}
 
+	found, foundSlot := -1, -1
 	for idx := 0; idx < len(queue) && len(queue) < t.maxBFSNodes; idx++ {
 		t.lastBFSNodes++
-		e := queue[idx]
-		base := e.bucket * m
-		for s := 0; s < m; s++ {
-			if shadow[base+s] == 0 {
-				return t.applyPath(queue, idx, s)
-			}
+		if idx == found {
+			return t.applyPath(queue, idx, foundSlot)
 		}
+		e := queue[idx]
 		for s := 0; s < m; s++ {
-			k := shadow[base+s]
-			if k == 0 {
-				continue // raced with nothing; defensive
-			}
+			k := t.keyAt(e.bucket, s)
 			for j := 0; j < n; j++ {
 				alt := t.Bucket(j, k)
-				if alt == e.bucket {
+				if alt == e.bucket || !t.visit(alt) {
 					continue
 				}
-				if stamp[alt] == epoch {
-					continue
-				}
-				stamp[alt] = epoch
 				//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
 				queue = append(queue, pathEntry{bucket: alt, parent: idx, parentSlot: s})
+				if found < 0 {
+					if es := t.emptySlot(alt); es >= 0 {
+						found, foundSlot = len(queue)-1, es
+						// Before found is dequeued, the rest of this
+						// expansion and the found-idx-1 expansions after it
+						// add fewer than (found-idx)*(N-1)*M entries. If
+						// even that keeps the queue under the cap, the
+						// search reaches found: stop now.
+						if found+1+(found-idx)*(n-1)*m < t.maxBFSNodes {
+							t.lastBFSNodes = found + 1
+							return t.applyPath(queue, found, foundSlot)
+						}
+					}
+				}
 				if len(queue) >= t.maxBFSNodes {
 					break
 				}
@@ -295,18 +325,47 @@ func (t *Table) bfsMakeRoom(key uint64) (int, int, bool) {
 		}
 	}
 
-	// Fallback sweep: any queued bucket may have gained an empty slot.
-	for idx, e := range queue {
-		if s := t.emptySlot(e.bucket); s >= 0 {
-			return t.applyPath(queue, idx, s)
-		}
+	// The cap stopped the search first. Every bucket before found in the
+	// queue is full, so found is the first queued bucket with an empty slot.
+	if found >= 0 {
+		return t.applyPath(queue, found, foundSlot)
 	}
 	return 0, 0, false
 }
 
+// newVisitEpoch empties the visited set for a new search. On the
+// (astronomically rare) epoch wraparound the set is cleared once, so
+// entries from 2^32 searches ago cannot alias the new epoch.
+func (t *Table) newVisitEpoch() {
+	t.visitedEpoch++
+	if t.visitedEpoch == 0 {
+		clear(t.visited)
+		t.visitedEpoch = 1
+	}
+}
+
+// visit adds bucket b to the current search's visited set and reports
+// whether it was absent.
+func (t *Table) visit(b int) bool {
+	want := uint64(t.visitedEpoch)<<32 | uint64(b+1)
+	// Bucket indices are hash outputs, so their low bits spread entries
+	// evenly without further mixing.
+	mask := len(t.visited) - 1
+	for i := b & mask; ; i = (i + 1) & mask {
+		switch w := t.visited[i]; {
+		case w == want:
+			return false
+		case uint32(w>>32) != t.visitedEpoch:
+			t.visited[i] = want
+			return true
+		}
+	}
+}
+
 func (t *Table) emptySlot(b int) int {
+	base := b * t.L.M
 	for s := 0; s < t.L.M; s++ {
-		if t.keyAt(b, s) == 0 {
+		if t.tags[base+s] == 0 {
 			return s
 		}
 	}
@@ -350,8 +409,8 @@ func (t *Table) hashesTo(key uint64, bucket int) bool {
 func (t *Table) ForEach(fn func(key, val uint64)) {
 	for b := 0; b < t.L.Buckets(); b++ {
 		for s := 0; s < t.L.M; s++ {
-			if k := t.keyAt(b, s); k != 0 {
-				fn(k, t.valAt(b, s))
+			if t.tags[b*t.L.M+s] != 0 {
+				fn(t.keyAt(b, s), t.valAt(b, s))
 			}
 		}
 	}

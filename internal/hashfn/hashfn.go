@@ -89,8 +89,8 @@ func (f *Family) Hash(i int, key uint64) uint64 {
 	return m >> f.Shift()
 }
 
-// Buckets4 evaluates up to the first 4 functions on key into dst and
-// returns the slice; a small-N fast path for hot loops.
+// AllHashes evaluates every function of the family on key, appending the
+// bucket indices to dst[:0] in function order, and returns the slice.
 func (f *Family) AllHashes(key uint64, dst []uint64) []uint64 {
 	dst = dst[:0]
 	for i := range f.mults {

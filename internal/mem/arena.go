@@ -128,11 +128,7 @@ func (a *Arena) WriteUint(off, bits int, v uint64) {
 }
 
 // Zero clears the whole arena.
-func (a *Arena) Zero() {
-	for i := range a.data {
-		a.data[i] = 0
-	}
-}
+func (a *Arena) Zero() { clear(a.data) }
 
 func (a *Arena) check(off, n int) {
 	if off < 0 || n < 0 || off+n > len(a.data) {

@@ -8,7 +8,10 @@
 #                consumes: `benchstat BENCH_baseline.txt new.txt`
 #   <out>.json — the same results parsed into JSON; each entry keeps the
 #                raw benchmark line so the benchstat input can always be
-#                recovered from the committed baseline.
+#                recovered from the committed baseline. A "host" field
+#                fingerprints the machine (CPU model, nproc, go version);
+#                benchdiff.sh refuses to compare snapshots whose
+#                fingerprints differ.
 #
 # Usage: scripts/bench.sh [out-basename]
 # Env:   GO=go COUNT=1 BENCHTIME=1x
@@ -26,8 +29,18 @@ BENCHTIME=${BENCHTIME:-1x}
 
 $GO test -run '^$' -bench . -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$OUT.txt"
 
-awk '
-BEGIN { printf "{\n  \"format\": \"go test -bench\",\n  \"benchmarks\": [\n" }
+cpu=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1)
+[ -n "$cpu" ] || cpu=$(sysctl -n machdep.cpu.brand_string 2>/dev/null || echo unknown)
+ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+gover=$($GO version | sed 's/^go version //')
+
+awk -v cpu="$cpu" -v ncpu="$ncpu" -v gover="$gover" '
+BEGIN {
+    gsub(/["\\]/, "", cpu)
+    printf "{\n  \"format\": \"go test -bench\",\n"
+    printf "  \"host\": {\"cpu_model\":\"%s\",\"nproc\":%d,\"go_version\":\"%s\"},\n", cpu, ncpu, gover
+    printf "  \"benchmarks\": [\n"
+}
 /^Benchmark/ && /ns\/op/ {
     line = $0
     gsub(/\\/, "\\\\", line); gsub(/"/, "\\\"", line); gsub(/\t/, "\\t", line)

@@ -14,7 +14,9 @@
 #
 # Wall-clock noise note: single-iteration (-benchtime 1x) snapshots jitter a
 # few percent run to run; the 20% gate is deliberately loose so only real
-# regressions trip it. Snapshots from different machines are not comparable.
+# regressions trip it. Snapshots from different machines are not comparable:
+# when both carry a bench.sh host fingerprint and the fingerprints differ,
+# the script exits 2 without comparing; when either lacks one it warns.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -30,6 +32,24 @@ THRESH=${3:-0.20}
 # config, metrics and the cycle account with thresholds.
 if grep -q '"tool"' "$OLD" 2>/dev/null; then
     exec ${GO:-go} run ./cmd/obsdiff -rel "$THRESH" "$OLD" "$NEW"
+fi
+
+host() { sed -n 's/^ *"host": *\({.*}\).*/\1/p' "$1"; }
+OLDHOST=$(host "$OLD")
+NEWHOST=$(host "$NEW")
+if [ -n "$OLDHOST" ] && [ -n "$NEWHOST" ]; then
+    if [ "$OLDHOST" != "$NEWHOST" ]; then
+        echo "benchdiff: snapshots come from different hosts; their timings are not comparable" >&2
+        echo "  $OLD: $OLDHOST" >&2
+        echo "  $NEW: $NEWHOST" >&2
+        exit 2
+    fi
+else
+    for f in "$OLD" "$NEW"; do
+        if [ -z "$(host "$f")" ]; then
+            echo "benchdiff: warning: $f has no host fingerprint; cannot confirm both snapshots come from one host" >&2
+        fi
+    done
 fi
 
 awk -v thresh="$THRESH" -v newfile="$NEW" '

@@ -145,6 +145,25 @@ if grep -q "Sim Mlookups/s" "$tmp/simspeed.out"; then
 fi
 scripts/benchdiff.sh BENCH_baseline.json BENCH_baseline.json >/dev/null
 
+# Host-fingerprint smoke: benchdiff must accept two snapshots with the same
+# fingerprint and refuse (exit 2) a copy of the baseline carrying a foreign
+# one.
+echo "==> benchdiff host-fingerprint smoke"
+plant_host() {
+    awk -v h="$1" 'NR == 3 { printf "  \"host\": {\"cpu_model\":\"%s\",\"nproc\":1,\"go_version\":\"go0\"},\n", h } { print }' \
+        BENCH_baseline.json > "$2"
+}
+plant_host ci-host "$tmp/bench_host.json"
+plant_host foreign-host "$tmp/bench_foreign.json"
+scripts/benchdiff.sh "$tmp/bench_host.json" "$tmp/bench_host.json" >/dev/null
+status=0
+scripts/benchdiff.sh "$tmp/bench_host.json" "$tmp/bench_foreign.json" \
+    >/dev/null 2> "$tmp/benchdiff.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "different hosts" "$tmp/benchdiff.err"; then
+    echo "ci.sh: benchdiff compared snapshots from different hosts (exit $status, want 2)" >&2
+    exit 1
+fi
+
 # Short fuzz of the delivery and Multi-Get paths (seed corpora replay plus a
 # few seconds of mutation).
 echo "==> fuzz smoke"
