@@ -289,6 +289,7 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 			Batches: []int{16}, Seed: 7,
 		},
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FleetStudyPoint(8, opts)
 		if err != nil {

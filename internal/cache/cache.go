@@ -46,16 +46,28 @@ func (s Stats) HitRate() float64 {
 // valid line are zero).
 const hotLineNone = ^uint64(0)
 
+// maxLineAddr is the exclusive upper bound on simulated line addresses:
+// each way stores its line's index (address / LineSize) as a 32-bit tag,
+// so the hierarchy covers the low 2^38 B (256 GiB) of the address space.
+// Simulated address spaces start at 1 MiB and grow by allocation, far
+// below it; a line at or above it panics rather than aliasing.
+const maxLineAddr = uint64(mem.LineSize) << 32
+
+// maxAssoc bounds the ways per set: occupancy is stored as a uint8.
+const maxAssoc = 255
+
 // level is one set-associative cache level with LRU replacement. All sets
 // live in one flat tag array — set i occupies tags[i*assoc : i*assoc+used[i]]
 // in recency order (offset 0 = most recently used) — so building a level is
 // two allocations regardless of set count and an access touches one
-// contiguous span. LRU stays a couple of element rotations. Levels whose set
-// count is a power of two index with a mask instead of a modulo.
+// contiguous span. A tag is the 32-bit line index (line / LineSize), half
+// the footprint of a 64-bit address; the bulk of a per-core engine's memory
+// is these arrays. LRU stays a couple of element rotations. Levels whose
+// set count is a power of two index with a mask instead of a modulo.
 type level struct {
 	cfg     Config
-	tags    []uint64 // numSets*assoc line tags, each set MRU first
-	used    []int32  // resident lines per set
+	tags    []uint32 // numSets*assoc line indexes, each set MRU first
+	used    []uint8  // resident lines per set
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two, else 0
 	assoc   int
@@ -69,7 +81,7 @@ type level struct {
 }
 
 func newLevel(cfg Config) *level {
-	if cfg.Size <= 0 || cfg.Assoc <= 0 {
+	if cfg.Size <= 0 || cfg.Assoc <= 0 || cfg.Assoc > maxAssoc {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	lines := cfg.Size / mem.LineSize
@@ -79,8 +91,8 @@ func newLevel(cfg Config) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		tags:    make([]uint64, numSets*cfg.Assoc),
-		used:    make([]int32, numSets),
+		tags:    make([]uint32, numSets*cfg.Assoc),
+		used:    make([]uint8, numSets),
 		numSets: uint64(numSets),
 		assoc:   cfg.Assoc,
 		hotLine: hotLineNone,
@@ -91,13 +103,21 @@ func newLevel(cfg Config) *level {
 	return l
 }
 
-// setIndex maps a line address to its set.
-func (l *level) setIndex(line uint64) uint64 {
-	idx := line / mem.LineSize
-	if l.setMask != 0 {
-		return idx & l.setMask
+// lineTag returns the 32-bit tag of a line address, panicking on a line
+// outside the maxLineAddr range the tags can represent.
+func lineTag(line uint64) uint32 {
+	if line >= maxLineAddr {
+		panic(fmt.Sprintf("cache: line address %#x at or above the 2^38 B simulated-address limit", line))
 	}
-	return idx % l.numSets
+	return uint32(line / mem.LineSize)
+}
+
+// setIndex maps a line tag to its set.
+func (l *level) setIndex(tag uint32) uint64 {
+	if l.setMask != 0 {
+		return uint64(tag) & l.setMask
+	}
+	return uint64(tag) % l.numSets
 }
 
 // access looks up a line address; on miss the line is installed, possibly
@@ -110,38 +130,38 @@ func (l *level) access(line uint64) (hit, evicted bool) {
 		l.stats.Hits++
 		return true, false
 	}
-	setIdx := l.setIndex(line)
+	tag := lineTag(line)
+	setIdx := l.setIndex(tag)
 	base := setIdx * uint64(l.assoc)
 	set := l.tags[base : base+uint64(l.used[setIdx])]
-	for i, tag := range set {
-		if tag == line {
+	for i, t := range set {
+		if t == tag {
 			// Move to front (MRU).
 			copy(set[1:i+1], set[:i])
-			set[0] = line
+			set[0] = tag
 			l.stats.Hits++
 			l.hotLine = line
 			return true, false
 		}
 	}
 	l.stats.Misses++
-	return false, l.install(line)
+	return false, l.install(line, tag, setIdx)
 }
 
-// install places a line at MRU, reporting whether the set was full and the
-// LRU way was evicted to make room.
-func (l *level) install(line uint64) (evicted bool) {
-	setIdx := l.setIndex(line)
+// install places a line at MRU of its set, reporting whether the set was
+// full and the LRU way was evicted to make room.
+func (l *level) install(line uint64, tag uint32, setIdx uint64) (evicted bool) {
 	base := setIdx * uint64(l.assoc)
 	n := int(l.used[setIdx])
 	if n < l.assoc {
-		l.used[setIdx] = int32(n + 1)
+		l.used[setIdx] = uint8(n + 1)
 		n++
 	} else {
 		evicted = true
 	}
 	set := l.tags[base : base+uint64(n)]
 	copy(set[1:], set)
-	set[0] = line
+	set[0] = tag
 	l.hotLine = line
 	return evicted
 }
@@ -150,6 +170,17 @@ func (l *level) reset() {
 	clear(l.used)
 	l.stats = Stats{}
 	l.hotLine = hotLineNone
+}
+
+// copyFrom makes l an exact copy of src, which must have the same config.
+func (l *level) copyFrom(src *level) {
+	if l.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: copy between levels %+v and %+v", l.cfg, src.cfg))
+	}
+	copy(l.tags, src.tags)
+	copy(l.used, src.used)
+	l.stats = src.stats
+	l.hotLine = src.hotLine
 }
 
 // Hierarchy is an inclusive multi-level cache backed by DRAM.
@@ -175,6 +206,21 @@ func New(dramLatency float64, levels ...Config) *Hierarchy {
 		h.levels = append(h.levels, newLevel(cfg))
 	}
 	return h
+}
+
+// CopyFrom makes h an exact copy of src's cache state: resident lines in
+// LRU order, hot-line registers, per-level stats and the DRAM fill count.
+// Both hierarchies must have the same level configs and DRAM latency;
+// DRAMPenalty and Probe are h's own and stay as they are. The copy answers
+// any later access stream exactly as src would, and the two share no state.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	if len(h.levels) != len(src.levels) || h.dramLatency != src.dramLatency {
+		panic("cache: CopyFrom between hierarchies of different configs")
+	}
+	for i, l := range h.levels {
+		l.copyFrom(src.levels[i])
+	}
+	h.dramAccess = src.dramAccess
 }
 
 // Access simulates a data access of size bytes at addr and returns its

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simdhtbench/internal/mem"
@@ -175,4 +176,137 @@ func TestLevels(t *testing.T) {
 	if _, ok := h.LevelStats("L9"); ok {
 		t.Error("LevelStats should report missing levels")
 	}
+}
+
+// TestCopyFromIsIndependentTwin warms a hierarchy with a random stream,
+// copies it, and requires the copy and the original to answer an identical
+// follow-up stream identically — latencies, serving levels, evictions and
+// stats — and then that accesses to one leave the other untouched.
+func TestCopyFromIsIndependentTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stream := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Intn(64<<10)) &^ 7
+		}
+		return out
+	}
+	orig := tiny()
+	for _, a := range stream(3000) {
+		orig.Access(a, 8)
+	}
+	for _, a := range stream(500) {
+		orig.Touch(a, 8)
+	}
+	twin := tiny()
+	twin.Access(0x9000, 8) // stale state the copy must overwrite
+	twin.CopyFrom(orig)
+
+	probe := func(h *Hierarchy) *countProbe {
+		p := &countProbe{}
+		h.Probe = p
+		return p
+	}
+	po, pt := probe(orig), probe(twin)
+	// Lead with the copy's stale hot line: a copy that kept its own hot
+	// registers would report a false hit there.
+	for i, a := range append([]uint64{0x9000}, stream(5000)...) {
+		c1, s1 := orig.AccessLineServed(a)
+		c2, s2 := twin.AccessLineServed(a)
+		if c1 != c2 || s1 != s2 {
+			t.Fatalf("access %d at %#x: original (%v cycles, level %d) vs copy (%v, %d)", i, a, c1, s1, c2, s2)
+		}
+		if *po != *pt {
+			t.Fatalf("access %d at %#x: probe counts differ: original %+v vs copy %+v", i, a, *po, *pt)
+		}
+	}
+	for _, name := range orig.Levels() {
+		s1, _ := orig.LevelStats(name)
+		s2, _ := twin.LevelStats(name)
+		if s1 != s2 {
+			t.Fatalf("%s stats: original %+v vs copy %+v", name, s1, s2)
+		}
+	}
+	if orig.DRAMAccesses() != twin.DRAMAccesses() {
+		t.Fatalf("DRAM fills: original %d vs copy %d", orig.DRAMAccesses(), twin.DRAMAccesses())
+	}
+
+	// Independence: thrash the copy, then the original must still hit the
+	// line it last accessed and keep its stats.
+	last := uint64(0x5000)
+	orig.Access(last, 8)
+	before, _ := orig.LevelStats("L1D")
+	for off := uint64(0); off < 64<<10; off += mem.LineSize {
+		twin.Access(off, 1)
+	}
+	after, _ := orig.LevelStats("L1D")
+	if before != after {
+		t.Fatalf("original's L1 stats moved from %+v to %+v under accesses to the copy", before, after)
+	}
+	if lat := orig.Access(last, 8); lat != 4 {
+		t.Fatalf("original lost its MRU line to the copy's accesses: latency %v, want 4", lat)
+	}
+}
+
+// countProbe counts probe events by kind.
+type countProbe struct{ hits, misses, evictions, dram int }
+
+func (p *countProbe) LevelAccess(level string, hit bool) {
+	switch {
+	case level == "DRAM":
+		p.dram++
+	case hit:
+		p.hits++
+	default:
+		p.misses++
+	}
+}
+
+func (p *countProbe) Eviction(string) { p.evictions++ }
+
+func TestCopyFromRejectsDifferentConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom between different configs did not panic")
+		}
+	}()
+	other := New(100, Config{Name: "L1D", Size: 1 << 10, Assoc: 2, Latency: 4})
+	other.CopyFrom(tiny())
+}
+
+// TestLineAboveTagRangePanics pins the 32-bit tag limit: the last line
+// below 2^38 B is cacheable, and the first line at the limit panics with a
+// message naming its address instead of aliasing onto line 0.
+func TestLineAboveTagRangePanics(t *testing.T) {
+	h := tiny()
+	top := maxLineAddr - mem.LineSize
+	h.Access(top, 8)
+	if lat := h.Access(top, 8); lat != 4 {
+		t.Fatalf("line %#x: second access latency %v, want an L1 hit", top, lat)
+	}
+	for _, touch := range []bool{false, true} {
+		func() {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if !strings.Contains(msg, "0x4000000000") {
+					t.Fatalf("touch=%v: panic %v, want one naming address 0x4000000000", touch, r)
+				}
+			}()
+			if touch {
+				h.Touch(maxLineAddr, 1)
+			} else {
+				h.Access(maxLineAddr, 1)
+			}
+		}()
+	}
+}
+
+func TestAssocAboveOccupancyRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 256-way level did not panic")
+		}
+	}()
+	New(100, Config{Name: "L1D", Size: 256 * 64, Assoc: 256, Latency: 4})
 }

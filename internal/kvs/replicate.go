@@ -65,7 +65,7 @@ func (s *Server) HandleReplicate(items []ReplicaItem, done func(applied int)) {
 // processReplicate charges and applies a replica batch on worker wi,
 // returning the applied count and the service time in seconds.
 func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
-	e := s.engines[wi]
+	e := s.workerEngine(wi)
 	freq := s.Arch.Frequency(s.Index.Width()) * 1e9
 	start := e.Cycles()
 	applied := 0
@@ -95,7 +95,7 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 // the equivalent work via the repl* cost constants.
 func (s *Server) Replace(key, value []byte) (bool, error) {
 	replaced := false
-	e := s.engines[0]
+	e := s.workerEngine(0)
 	e.SetCharging(false)
 	keys := [][]byte{key}
 	hashes := []uint32{Hash32(key)}

@@ -167,6 +167,12 @@ func (r *Ring) Owner(key []byte) int {
 // When n exceeds the member count every member is returned. dst, when
 // non-nil, is reused to avoid allocation; the result is dst[:m].
 func (r *Ring) ReplicaOwners(key []byte, n int, dst []int) []int {
+	return r.ReplicaOwnersHash(hashfn.HashBytes(key), n, dst)
+}
+
+// ReplicaOwnersHash is ReplicaOwners for a key whose hashfn.HashBytes value
+// h the caller already holds.
+func (r *Ring) ReplicaOwnersHash(h uint64, n int, dst []int) []int {
 	if n < 1 {
 		n = 1
 	}
@@ -174,7 +180,6 @@ func (r *Ring) ReplicaOwners(key []byte, n int, dst []int) []int {
 		n = len(r.members)
 	}
 	dst = dst[:0]
-	h := hashfn.HashBytes(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	for scanned := 0; scanned < len(r.points) && len(dst) < n; scanned++ {
 		if i == len(r.points) {

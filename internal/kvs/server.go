@@ -60,6 +60,10 @@ const rejectRespBytes = 16
 // hash-table index. Each worker runs on its own simulated core (engine);
 // batch service time is the engine-charged cycle count of the three
 // pipeline phases converted at the index's license frequency.
+//
+// Worker engines are built on first use (workerEngine): a fleet's servers
+// hold far more workers than ever serve a batch, and each engine carries a
+// full private L1/L2/L3 tag store.
 type Server struct {
 	Sim     *des.Sim
 	Arch    *arch.Model
@@ -67,7 +71,8 @@ type Server struct {
 	Index   Index
 	Store   *ItemStore
 
-	engines    []*engine.Engine
+	engines    []*engine.Engine // per worker; nil until first use
+	warmed     *engine.Engine   // WarmCaches snapshot cloned by later first uses
 	freeEng    []int
 	refScratch [][]uint32
 	hashScr    [][]uint32
@@ -131,13 +136,32 @@ func NewServer(sim *des.Sim, model *arch.Model, workers, maxBatch int, index Ind
 		Store:    store,
 		maxBatch: maxBatch,
 	}
+	s.engines = make([]*engine.Engine, workers)
 	for i := 0; i < workers; i++ {
-		s.engines = append(s.engines, engine.New(model, workers))
 		s.freeEng = append(s.freeEng, i)
 		s.refScratch = append(s.refScratch, make([]uint32, maxBatch))
 		s.hashScr = append(s.hashScr, make([]uint32, maxBatch))
 	}
 	return s
+}
+
+// workerEngine returns worker wi's engine, building it on first use. Every
+// engine read goes through here. An engine first used after WarmCaches
+// starts as a copy of the warmed snapshot's caches: warming charges
+// nothing (cycles, ops, max width and charging keep their construction
+// values), so that copy is exactly the state an engine built with the
+// server and warmed alongside the rest would have reached, and every
+// later charge is bit-identical.
+func (s *Server) workerEngine(wi int) *engine.Engine {
+	if e := s.engines[wi]; e != nil {
+		return e
+	}
+	e := engine.New(s.Arch, len(s.engines))
+	if s.warmed != nil {
+		e.Cache.CopyFrom(s.warmed.Cache)
+	}
+	s.engines[wi] = e
+	return e
 }
 
 // Set stores (key, value) and indexes it; used by the load phase and by a
@@ -173,7 +197,7 @@ func (s *Server) Set(key, value []byte) (uint32, error) {
 // Get performs a native single-key lookup (uncharged), for functional use
 // and tests.
 func (s *Server) Get(key []byte) ([]byte, bool) {
-	e := s.engines[0]
+	e := s.workerEngine(0)
 	e.SetCharging(false)
 	defer e.SetCharging(true)
 	keys := [][]byte{key}
@@ -282,7 +306,7 @@ func (s *Server) processBatch(wi int, keys [][]byte) MGetResult {
 // processChunk runs the three phases on worker wi's engine and returns the
 // result with per-phase times.
 func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
-	e := s.engines[wi]
+	e := s.workerEngine(wi)
 	freq := s.Arch.Frequency(s.Index.Width()) * 1e9
 	hashes := s.hashScr[wi][:len(keys)]
 	refs := s.refScratch[wi][:len(keys)]
@@ -348,11 +372,24 @@ func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
 // reaches (the hot set of a skewed key-value workload stays resident; see
 // Section V-B's discussion of temporal locality). The remaining warm-up
 // happens through the client's discarded warm-up requests.
+//
+// It warms the engines built so far plus one snapshot engine, which
+// workers first used later copy (workerEngine), so a server warms once
+// rather than once per worker.
 func (s *Server) WarmCaches() {
 	hotBudget := (s.Arch.LastLevelCacheSize() * 3) / 4
-	for _, e := range s.engines {
+	if s.warmed == nil {
+		s.warmed = engine.New(s.Arch, len(s.engines))
+	}
+	warm := func(e *engine.Engine) {
 		s.Index.Warm(e)
 		s.Store.WarmHot(e, hotBudget)
+	}
+	warm(s.warmed)
+	for _, e := range s.engines {
+		if e != nil {
+			warm(e)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"simdhtbench/internal/des"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
@@ -51,6 +52,8 @@ type Fleet struct {
 
 	serverEPs []*netsim.Endpoint
 	keys      [][]byte          // loaded keys, in load order (rebalance iteration order)
+	keyHashes []uint64          // hashfn.HashBytes of each loaded key, computed once
+	sets      replicaSets       // each loaded key's replica set on one ring
 	expected  map[string][]byte // canonical contents, for divergence detection
 	repairing map[repairKey]bool
 	ownA      []int // ReplicaOwners scratch
@@ -73,6 +76,15 @@ type Fleet struct {
 type repairKey struct {
 	server int
 	key    string
+}
+
+// replicaSets holds every loaded key's replica set on one ring, so a
+// rebalance walks only the rings it must: the new ring for the keys a
+// membership change can move, never the old ring again.
+type replicaSets struct {
+	ring *kvs.Ring // the ring the sets were computed on; nil = none yet
+	m    int       // set size on ring: min(Replication, members)
+	sets []int     // key i's set is sets[i*Replication : i*Replication+m]
 }
 
 // NewFleet builds a fleet of the given servers with R-way replication on a
@@ -118,20 +130,26 @@ func (f *Fleet) Keys() [][]byte { return f.keys }
 // LoadCluster's, so a replication=1 fleet holds bitwise the same data as
 // the legacy cluster loader.
 func (f *Fleet) LoadFleet(count, keyBytes, valueBytes int) ([][]byte, error) {
+	R := f.Replication
+	hashes := make([]uint64, 0, count)
+	sets := replicaSets{ring: f.Ring, m: min(R, f.Ring.Servers()), sets: make([]int, count*R)}
 	keys, err := loadRingKeys(count, keyBytes, valueBytes, func(key, value []byte) (int, error) {
-		owners := f.Ring.ReplicaOwners(key, f.Replication, f.ownA)
+		h := hashfn.HashBytes(key)
+		owners := f.Ring.ReplicaOwnersHash(h, R, f.ownA)
 		for _, s := range owners {
 			if _, err := f.Servers[s].Set(key, value); err != nil {
 				return s, err
 			}
 		}
 		f.expected[string(key)] = value
+		copy(sets.sets[len(hashes)*R:], owners)
+		hashes = append(hashes, h)
 		return -1, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	f.keys = keys
+	f.keys, f.keyHashes, f.sets = keys, hashes, sets
 	return keys, nil
 }
 
@@ -170,32 +188,46 @@ func (f *Fleet) Join(id int) error {
 // Transfers compete with foreground traffic for NICs and workers — nothing
 // is teleported. A key with no live donor is counted lost (with R=1 a
 // wiped server's data is simply gone until rewritten).
-func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
+//
+// nr must be f.Ring.Join(server) when join is set, else
+// f.Ring.Leave(server). The old sets come from the previous epoch's
+// (recomputed only when f.Ring was replaced from outside). A Leave recomputes only the sets that
+// held server: any other key's clockwise walk filled its set before
+// reaching one of server's vnodes, so removing them changes nothing it saw.
+// It returns the transfer groups it ships, in shipping order.
+func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) []*transferGroup {
 	old := f.Ring
+	R := f.Replication
+	if f.sets.ring != old {
+		f.sets = replicaSets{ring: old, m: min(R, old.Servers()), sets: make([]int, len(f.keys)*R)}
+		for i, h := range f.keyHashes {
+			copy(f.sets.sets[i*R:], old.ReplicaOwnersHash(h, R, f.ownA))
+		}
+	}
 	f.Ring = nr
 	f.Epochs++
 
-	type transferGroup struct {
-		src, dst int
-		items    []kvs.ReplicaItem
-	}
 	var groups []*transferGroup
 	groupIdx := make(map[[2]int]*transferGroup)
 	moved, lost := 0, 0
-	for _, key := range f.keys {
-		oldSet := old.ReplicaOwners(key, f.Replication, f.ownA)
-		newSet := nr.ReplicaOwners(key, f.Replication, f.ownB)
+	for i, key := range f.keys {
+		oldSet := f.sets.sets[i*R : i*R+f.sets.m]
+		if !join && !containsInt(oldSet, server) {
+			continue
+		}
+		newSet := nr.ReplicaOwnersHash(f.keyHashes[i], R, f.ownB)
 		for _, d := range newSet {
 			if containsInt(oldSet, d) {
 				continue
 			}
 			src := -1
+			var val []byte
 			for _, s := range oldSet {
 				if s == d || !nr.HasMember(s) {
 					continue
 				}
-				if _, ok := f.Servers[s].Get(key); ok {
-					src = s
+				if v, ok := f.Servers[s].Get(key); ok {
+					src, val = s, v
 					break
 				}
 			}
@@ -203,7 +235,6 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 				lost++
 				continue
 			}
-			val, _ := f.Servers[src].Get(key)
 			gk := [2]int{src, d}
 			g := groupIdx[gk]
 			if g == nil {
@@ -214,7 +245,9 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 			g.items = append(g.items, kvs.ReplicaItem{Key: key, Value: val})
 			moved++
 		}
+		copy(f.sets.sets[i*R:(i+1)*R], newSet)
 	}
+	f.sets.ring, f.sets.m = nr, min(R, nr.Servers())
 	f.KeysMoved += uint64(moved)
 	f.KeysLost += uint64(lost)
 	start := f.Sim.Now()
@@ -226,7 +259,7 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 		if f.Probe != nil {
 			f.Probe.RebalanceDone(epoch, 0, start, start)
 		}
-		return
+		return nil
 	}
 	outstanding := 0
 	for _, g := range groups {
@@ -256,6 +289,14 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 			})
 		}
 	}
+	return groups
+}
+
+// transferGroup is the rebalance traffic from one donor to one new owner,
+// items in key load order.
+type transferGroup struct {
+	src, dst int
+	items    []kvs.ReplicaItem
 }
 
 func containsInt(xs []int, x int) bool {

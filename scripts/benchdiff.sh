@@ -7,7 +7,9 @@
 # (benchmarks reporting the sim-Mlookups/s metric), falling back to inverse
 # ns_per_op otherwise. A benchmark whose new speed falls more than THRESH
 # (default 20%) below the old one fails the diff; improvements and new or
-# removed benchmarks are reported but never fail.
+# removed benchmarks are reported but never fail. Host memory per op
+# (bytes_per_op, allocs_per_op from bench.sh's -benchmem) is printed under
+# each benchmark that carries it on both sides, and never gated.
 #
 # Usage: scripts/benchdiff.sh old.json new.json [threshold]
 #   threshold — maximum tolerated fractional regression (default 0.20)
@@ -68,13 +70,19 @@ function field(s, key,    re, v) {
     sub(/".*/, "", name)
     ns = field($0, "ns_per_op")
     sim = field($0, "sim_mlookups_per_s")
+    bytes = field($0, "bytes_per_op")
+    allocs = field($0, "allocs_per_op")
     if (NR == FNR) { # first pass: the old snapshot (works when old == new)
         old_ns[name] = ns
         old_sim[name] = sim
+        old_bytes[name] = bytes
+        old_allocs[name] = allocs
         order[n++] = name
     } else {
         new_ns[name] = ns
         new_sim[name] = sim
+        new_bytes[name] = bytes
+        new_allocs[name] = allocs
     }
 }
 END {
@@ -105,6 +113,12 @@ END {
         }
         printf "  %-9s %-50s %10.3f -> %10.3f %-15s (%+.1f%%)\n",
             status, name, oldspeed, newspeed, unit, (ratio - 1) * 100
+        if (old_bytes[name] != "" && new_bytes[name] != "") {
+            printf "  %-9s %-50s %10.0f -> %10.0f B/op", "mem", "", old_bytes[name], new_bytes[name]
+            if (old_allocs[name] != "" && new_allocs[name] != "")
+                printf ", %.0f -> %.0f allocs/op", old_allocs[name], new_allocs[name]
+            printf "\n"
+        }
     }
     if (compared == 0) {
         print "benchdiff: no comparable benchmarks found" > "/dev/stderr"
